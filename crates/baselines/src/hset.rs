@@ -331,9 +331,11 @@ mod tests {
         let victim = r.victim(&d).expect("collectible zone");
         let sets = r.sets_in_zone(&d, victim);
         // Relocate valid sets (Kangaroo-style).
+        let mut bytes = vec![0u8; d.geometry().page_size() as usize];
         for s in sets {
             let addr = r.location(s).expect("valid set has a location");
-            let (bytes, _) = d.read_pages(addr, 1, Nanos::ZERO).expect("read");
+            d.read_pages_into(addr, 1, &mut bytes, Nanos::ZERO)
+                .expect("read");
             r.append_set(&mut d, s, &bytes, Nanos::ZERO, &mut 0)
                 .unwrap();
         }

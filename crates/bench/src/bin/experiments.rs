@@ -29,12 +29,12 @@
 //! a warm checkpoint reopen (asserted: zero foreground flash writes,
 //! ≥95 % of the steady-state hit ratio) against a cold zone-scan reopen
 //! with the checkpoints deleted. `--qd N` additionally replays every
-//! backend through the asynchronous submit/poll read path at queue
-//! depth `N` — the async runs join the same parity assertion — and runs
+//! backend with its get waves submitted at queue depth `N` instead of
+//! the default 0 — those runs join the same parity assertion — and runs
 //! a scattered-read overlap microbench on the real backend.
 //!
 //! `qd_sweep` ages a file-backed real-I/O pool and sweeps the
-//! submit/poll queue depth (sequential, then 1/2/4/8/16), printing
+//! submit/poll queue depth (sequential depth 0, then 1/2/4/8/16), printing
 //! measured read-latency CDFs and sustained req/s per depth; behaviour
 //! parity across depths is asserted, and full (non-`--smoke`) runs also
 //! assert that some depth ≥ 4 sustains 1.5× the sequential rate.

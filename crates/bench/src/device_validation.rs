@@ -93,15 +93,15 @@ pub fn device_dir() -> PathBuf {
 /// Replays the merged trace on the modeled (in-memory), modeled
 /// (file-backed) and real-I/O backends and reports behavioural parity,
 /// side-by-side read-latency CDFs and WA. With `qd > 0` every backend
-/// is replayed a second time through the asynchronous submit/poll path
-/// at that queue depth — the async runs join the same parity assertion
-/// (sync and async may differ in time, never in behaviour) — and a
+/// is replayed a second time with its get waves submitted at that queue
+/// depth instead of the default 0 — those runs join the same parity
+/// assertion (depths may differ in time, never in behaviour) — and a
 /// scattered-read microbench on the real backend checks that overlap
 /// actually narrows the modeled-vs-measured p99 gap.
 ///
 /// # Panics
 ///
-/// Panics if the backends (or the sync and async paths) diverge
+/// Panics if the backends (or the two queue depths) diverge
 /// behaviourally, if device files cannot be created, or — with
 /// `qd >= 2` — if the overlapped microbench p99 is not below the
 /// sequential one.
@@ -111,10 +111,7 @@ pub fn device_validation(scale: RunScale, qd: u32) {
     let dir = device_dir();
     println!("device images: {}", dir.display());
     if qd > 0 {
-        println!(
-            "async path: submit/poll at queue depth {qd} ({})",
-            nemo_flash::RealFlash::<nemo_flash::WallClock>::submission_backend()
-        );
+        println!("second replay: get waves submitted at queue depth {qd}");
     }
     let ops = scale.ops_for_fills(1.5);
     let backends = [
@@ -247,10 +244,31 @@ pub fn device_validation(scale: RunScale, qd: u32) {
     }
 }
 
-/// Scattered-batch microbench on `RealFlash` twins: the same 32-page
-/// batches read back-to-back through the sequential chained path and
-/// through submit/poll at depth `qd`, next to the modeled (parallel-max)
-/// completion for the identical batches on `SimFlash`.
+/// Submits `addrs` at `queue_depth`, polls the batch dry, and returns
+/// the batch's completion time (its latest page).
+fn read_batch(
+    dev: &mut dyn ZonedFlash,
+    batch: &mut nemo_flash::ReadBatch,
+    completions: &mut Vec<nemo_flash::ReadCompletion>,
+    addrs: &[nemo_flash::PageAddr],
+    out: &mut [u8],
+    queue_depth: usize,
+) -> Nanos {
+    dev.submit_read_batch(batch, addrs, out, Nanos::ZERO, queue_depth)
+        .expect("submit");
+    completions.clear();
+    while !dev.poll_completions(batch, completions).expect("poll") {}
+    completions
+        .iter()
+        .map(|c| c.done)
+        .max()
+        .unwrap_or(Nanos::ZERO)
+}
+
+/// Scattered-batch microbench on one `RealFlash`: the same 32-page
+/// batches read back-to-back at depth 0 (the sequential chained
+/// schedule) and at depth `qd`, next to the modeled depth-0
+/// (parallel-max) completion for the identical batches on `SimFlash`.
 ///
 /// The device model overlaps a scattered batch across dies — its
 /// completion is a *max* over the pages. The sequential measured path
@@ -266,20 +284,12 @@ fn overlap_microbench(dir: &std::path::Path, qd: u32) {
     const ROUNDS: usize = 200;
     let geom = Geometry::new(4096, 64, 8, 8);
     let psz = geom.page_size() as usize;
-    let sync_path = dir.join("overlap-sync.img");
-    let async_path = dir.join("overlap-async.img");
-    let mut sync_dev =
-        RealFlash::create(geom, &sync_path, RealFlashOptions::default()).expect("sync device");
-    let mut async_dev =
-        RealFlash::create(geom, &async_path, RealFlashOptions::default()).expect("async device");
+    let path = dir.join("overlap.img");
+    let mut real = RealFlash::create(geom, &path, RealFlashOptions::default()).expect("device");
     let mut model = SimFlash::with_latency(geom, LatencyModel::default());
     for z in 0..geom.zone_count() {
         let data = vec![z as u8; geom.pages_per_zone() as usize * psz];
-        for dev in [
-            &mut sync_dev as &mut dyn ZonedFlash,
-            &mut async_dev,
-            &mut model,
-        ] {
+        for dev in [&mut real as &mut dyn ZonedFlash, &mut model] {
             dev.append(ZoneId(z), &data, Nanos::ZERO).expect("fill");
         }
     }
@@ -303,28 +313,12 @@ fn overlap_microbench(dir: &std::path::Path, qd: u32) {
         let addrs: Vec<PageAddr> = (0..BATCH)
             .map(|_| PageAddr::new(next(geom.zone_count()), next(geom.pages_per_zone())))
             .collect();
-        let done = model
-            .read_scattered_into(&addrs, &mut out, Nanos::ZERO)
-            .expect("modeled batch");
-        modeled.record(done.0);
-        let done = sync_dev
-            .read_scattered_into(&addrs, &mut out, Nanos::ZERO)
-            .expect("sequential batch");
-        sync_lat.record(done.0);
-        async_dev
-            .submit_read_batch(&mut batch, &addrs, &mut out, Nanos::ZERO, qd as usize)
-            .expect("async submit");
-        completions.clear();
-        while !async_dev
-            .poll_completions(&mut batch, &mut completions)
-            .expect("poll")
-        {}
-        let done = completions
-            .iter()
-            .map(|c| c.done)
-            .max()
-            .unwrap_or(Nanos::ZERO);
-        async_lat.record(done.0);
+        let mut read = |dev: &mut dyn ZonedFlash, depth: usize| {
+            read_batch(dev, &mut batch, &mut completions, &addrs, &mut out, depth).0
+        };
+        modeled.record(read(&mut model, 0));
+        sync_lat.record(read(&mut real, 0));
+        async_lat.record(read(&mut real, qd as usize));
     }
     let (m99, s99, a99) = (
         modeled.p99() as f64 / 1000.0,
@@ -341,8 +335,7 @@ fn overlap_microbench(dir: &std::path::Path, qd: u32) {
          completion toward the model's parallel shape",
         s99 / a99.max(1e-9)
     );
-    std::fs::remove_file(&sync_path).ok();
-    std::fs::remove_file(&async_path).ok();
+    std::fs::remove_file(&path).ok();
     if qd >= 2 {
         assert!(
             a99 < s99,
@@ -517,8 +510,8 @@ mod tests {
     #[test]
     fn smoke_runs_and_parity_holds() {
         // The experiment asserts parity internally — including the
-        // async submit/poll replays and the overlap microbench at queue
-        // depth 4; a tiny scale keeps this a unit test.
+        // replays and the overlap microbench at queue depth 4; a tiny
+        // scale keeps this a unit test.
         let scale = RunScale {
             flash_mb: 8,
             ops_mult: 0.05,

@@ -4,15 +4,14 @@
 //! # What this experiment shows
 //!
 //! Nemo's get path reads a *wave* of candidate set pages per lookup.
-//! The synchronous `read_scattered` path issues those pages as one
-//! chained sequence of `pread` calls; the submit/poll path
-//! (`NemoConfig::io_queue_depth`) hands the same wave to the device as
-//! a batch that `RealFlash` services with up to `queue_depth`
-//! overlapped reads. This sweep ages a file-backed `RealFlash` pool to
-//! steady state, then replays a read-heavy measured window at queue
-//! depths 1, 2, 4, 8 and 16 next to the sequential baseline, printing
-//! the measured read-latency CDF and the sustained request rate per
-//! depth.
+//! Each wave is one submitted batch at `NemoConfig::io_queue_depth`.
+//! At depth 0, the default, `RealFlash` reads the wave inline as one
+//! chained sequence of `pread` calls; at a positive depth it services
+//! the batch with up to `queue_depth` overlapped reads. This sweep ages
+//! a file-backed `RealFlash` pool to steady state, then replays a
+//! read-heavy measured window at queue depths 1, 2, 4, 8 and 16 next
+//! to the sequential depth-0 baseline, printing the measured
+//! read-latency CDF and the sustained request rate per depth.
 //!
 //! Two properties are asserted:
 //!
@@ -53,7 +52,7 @@ use nemo_metrics::LatencyHistogram;
 use nemo_trace::RequestKind;
 use std::time::{Duration, Instant};
 
-/// Queue depths swept; 0 is the synchronous `read_scattered` baseline.
+/// Queue depths swept; 0 is the sequential (inline, chained) baseline.
 const DEPTHS: [u32; 6] = [0, 1, 2, 4, 8, 16];
 
 /// Emulated NAND time per page read during the measured window, in µs
@@ -154,10 +153,6 @@ pub fn qd_sweep(scale: RunScale, smoke: bool) {
     println!("\n### Queue-depth sweep — overlapped async reads on the real-I/O backend");
     println!("device images: {}", device_dir().display());
     println!(
-        "submission backend: {} (queue depth caps the overlapped reads per wave)",
-        RealFlash::<nemo_flash::WallClock>::submission_backend()
-    );
-    println!(
         "emulated NAND read time: {EMULATED_READ_US}us/page during the measured window \
          (page-cache images have no medium; see the module docs)"
     );
@@ -238,7 +233,7 @@ pub fn qd_sweep(scale: RunScale, smoke: bool) {
             };
             vec![
                 if run.depth == 0 {
-                    "sync".to_string()
+                    "0 (sequential)".to_string()
                 } else {
                     run.depth.to_string()
                 },

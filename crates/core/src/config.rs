@@ -87,15 +87,15 @@ pub struct NemoConfig {
     /// bloom_fpr`), so a coarse ~6 bits/key filter keeps the miss-ratio
     /// perturbation in the noise while staying compact.
     pub supersede_fpr: f64,
-    /// Device queue depth for candidate reads on the get path. `0`
-    /// (the default) keeps the synchronous `read_scattered_into` call;
-    /// any positive value switches the wave read to the completion-based
-    /// `submit_read_batch`/`poll_completions` path with at most this
-    /// many pages in flight. On the modeled backend a depth of at least
-    /// the wave width reproduces the synchronous schedule bit for bit;
-    /// on `RealFlash` depths above 1 genuinely overlap the `pread`s.
-    /// Hit/miss outcomes and device op counts are identical either way —
-    /// the knob changes timing only.
+    /// Device queue depth for candidate reads on the get path: each
+    /// wave is one `submit_read_batch` with at most this many pages in
+    /// flight. `0` (the default) asks for the device's unthrottled
+    /// schedule — every page issued at once on the modeled backends,
+    /// one inline chained read after another on `RealFlash`. On the
+    /// modeled backend any depth of at least the wave width reproduces
+    /// depth 0 bit for bit; on `RealFlash` depths above 1 genuinely
+    /// overlap the `pread`s. Hit/miss outcomes and device op counts are
+    /// identical at every depth — the knob changes timing only.
     pub io_queue_depth: u32,
 }
 

@@ -3,7 +3,7 @@
 use crate::checkpoint;
 use crate::config::NemoConfig;
 use crate::hotness::HotnessTracker;
-use crate::index::{backoff, retry_transient, PbfgIndex, DEVICE_RETRY_LIMIT};
+use crate::index::{backoff, retry_transient, PbfgIndex};
 use crate::memsg::MemSg;
 use nemo_bloom::BloomFilter;
 use nemo_engine::codec::{self, PageBuf, MIN_OBJECT_SIZE};
@@ -203,7 +203,7 @@ pub struct Nemo<D: ZonedFlash = SimFlash> {
     wave_buf: Vec<u8>,
     /// Reused buffer for write-back scan page reads.
     scan_buf: Vec<u8>,
-    /// Reused async-read batch for the get path (io_queue_depth > 0).
+    /// Reused read batch for candidate waves (get path).
     io_batch: ReadBatch,
     /// Reused completion vector for [`Self::io_batch`].
     io_completions: Vec<ReadCompletion>,
@@ -602,48 +602,25 @@ impl<D: ZonedFlash> Nemo<D> {
         self.pool_capacity = self.pool_capacity.saturating_sub(1).max(1);
     }
 
-    /// Reads one candidate wave into [`Self::wave_buf`] through the
-    /// configured path (submit/poll when `io_queue_depth > 0`, scattered
-    /// otherwise), retrying transient errors with virtual-time backoff.
-    /// Returns the wave's completion time.
+    /// Reads one candidate wave into [`Self::wave_buf`] as one submitted
+    /// batch at `io_queue_depth`, retrying transient errors with
+    /// virtual-time backoff. Returns the wave's completion time: the
+    /// latest page completion.
     fn read_wave(&mut self, addrs: &[PageAddr], now: Nanos) -> Result<Nanos, FlashError> {
-        let mut attempt = 0;
-        loop {
+        let depth = self.cfg.io_queue_depth as usize;
+        let (dev, batch, buf, completions) = (
+            &mut self.dev,
+            &mut self.io_batch,
+            &mut self.wave_buf,
+            &mut self.io_completions,
+        );
+        retry_transient(&mut self.stats.device_retries, |attempt| {
             let issue = backoff(now, attempt);
-            let res = if self.cfg.io_queue_depth > 0 {
-                self.dev
-                    .submit_read_batch(
-                        &mut self.io_batch,
-                        addrs,
-                        &mut self.wave_buf,
-                        issue,
-                        self.cfg.io_queue_depth as usize,
-                    )
-                    .and_then(|()| {
-                        self.io_completions.clear();
-                        while !self
-                            .dev
-                            .poll_completions(&mut self.io_batch, &mut self.io_completions)?
-                        {
-                        }
-                        Ok(self
-                            .io_completions
-                            .iter()
-                            .fold(issue, |acc, c| acc.max(c.done)))
-                    })
-            } else {
-                self.dev
-                    .read_scattered_into(addrs, &mut self.wave_buf, issue)
-            };
-            match res {
-                Ok(done) => return Ok(done),
-                Err(e) if e.is_transient() && attempt < DEVICE_RETRY_LIMIT => {
-                    attempt += 1;
-                    self.stats.device_retries += 1;
-                }
-                Err(e) => return Err(e),
-            }
-        }
+            dev.submit_read_batch(batch, addrs, buf, issue, depth)?;
+            completions.clear();
+            while !dev.poll_completions(batch, completions)? {}
+            Ok(completions.iter().fold(issue, |acc, c| acc.max(c.done)))
+        })
     }
 
     /// Re-admits the staged write-back candidates of a completed deferred
@@ -701,76 +678,6 @@ impl<D: ZonedFlash> Nemo<D> {
         true
     }
 
-    /// The inline eviction burst through the submit/poll path: gates
-    /// every set first (the gates touch no flash), then reads all
-    /// passing victim pages as one submitted batch at the configured
-    /// queue depth. Pages parse in set order, so staging order — and
-    /// therefore behaviour and op counts — is identical to the
-    /// one-page-at-a-time loop in [`Self::scan_victim_set`]; only
-    /// wall-clock time on measuring devices changes.
-    fn scan_victim_sets_batched(
-        &mut self,
-        victim: FlashSg,
-        now: Nanos,
-        out: &mut Vec<(u32, u64, u32)>,
-    ) {
-        let sets: Vec<u32> = (0..self.cfg.sets_per_sg())
-            .filter(|&set| {
-                self.tracker.set_mask(victim.seq, set) != 0
-                    && self.index.is_recently_active(victim.seq, set)
-            })
-            .collect();
-        if sets.is_empty() {
-            return;
-        }
-        let psz = self.cfg.geometry.page_size() as usize;
-        let addrs: Vec<PageAddr> = sets
-            .iter()
-            .map(|&set| PageAddr::new(victim.zone, set))
-            .collect();
-        self.scan_buf.resize(addrs.len() * psz, 0);
-        let mut attempt = 0;
-        loop {
-            let issue = backoff(now, attempt);
-            let res = self
-                .dev
-                .submit_read_batch(
-                    &mut self.io_batch,
-                    &addrs,
-                    &mut self.scan_buf,
-                    issue,
-                    self.cfg.io_queue_depth as usize,
-                )
-                .and_then(|()| {
-                    self.io_completions.clear();
-                    while !self
-                        .dev
-                        .poll_completions(&mut self.io_batch, &mut self.io_completions)?
-                    {
-                    }
-                    Ok(())
-                });
-            match res {
-                Ok(()) => break,
-                Err(e) if e.is_transient() && attempt < DEVICE_RETRY_LIMIT => {
-                    attempt += 1;
-                    self.stats.device_retries += 1;
-                }
-                // Permanently unreadable victim pages: the write-back
-                // candidates are lost, but the SG is being evicted anyway.
-                Err(_) => return,
-            }
-        }
-        self.stats.flash_bytes_read += self.scan_buf.len() as u64;
-        for (&set, page) in sets.iter().zip(self.scan_buf.chunks_exact(psz)) {
-            for (k, s) in codec::parse_entries(page) {
-                if self.tracker.is_hot(victim.seq, set, k) {
-                    out.push((set, k, s));
-                }
-            }
-        }
-    }
-
     /// Re-admits write-back candidates into `target` (the sealed front SG
     /// about to be flushed), skipping any key with a newer buffered
     /// version. Returns the number re-admitted.
@@ -795,12 +702,8 @@ impl<D: ZonedFlash> Nemo<D> {
         let victim = self.pool.pop_front().expect("pool is full");
         let mut staged = Vec::new();
         if self.cfg.enable_writeback {
-            if self.cfg.io_queue_depth > 0 {
-                self.scan_victim_sets_batched(victim, now, &mut staged);
-            } else {
-                for set in 0..self.cfg.sets_per_sg() {
-                    self.scan_victim_set(victim, set, now, &mut staged);
-                }
+            for set in 0..self.cfg.sets_per_sg() {
+                self.scan_victim_set(victim, set, now, &mut staged);
             }
         }
         let writebacks = self.readmit_writebacks(staged, target);
@@ -1421,7 +1324,7 @@ impl<D: ZonedFlash + Send> CacheEngine for Nemo<D> {
             addrs.extend(wave_cands.iter().map(|c| PageAddr::new(c.zone, set)));
             // Read the wave into the engine's reused buffer: the get path
             // issues no per-wave allocation. The wave's pages are scanned
-            // below in submission order on either device path, so
+            // below in submission order at any queue depth, so
             // completion order can never perturb hit accounting; only
             // the wave's completion time feeds the outcome.
             self.wave_buf.resize(addrs.len() * psz, 0);
@@ -1627,22 +1530,18 @@ mod tests {
 
     #[test]
     fn async_get_path_is_bit_identical_on_the_modeled_device() {
-        // io_queue_depth changes timing only, and on SimFlash with a
-        // depth covering the whole wave it does not even change that:
-        // hit/miss outcomes, per-op completion times, engine stats and
-        // device op counts must match the synchronous path exactly.
-        let sync_cfg = small_cfg();
+        // io_queue_depth changes timing only, and on SimFlash a depth
+        // covering the whole wave does not even change that: hit/miss
+        // outcomes, per-op completion times, engine stats and device op
+        // counts must match the unthrottled depth 0 exactly.
+        let wave_cfg = small_cfg();
         let mut burst_cfg = small_cfg();
         burst_cfg.disable_read_staging();
-        for (mut a_cfg, label) in [(sync_cfg.clone(), "wave=1"), (burst_cfg.clone(), "burst")] {
-            a_cfg.io_queue_depth = u32::MAX; // covers any wave width
-            let s_cfg = if label == "wave=1" {
-                sync_cfg.clone()
-            } else {
-                burst_cfg.clone()
-            };
-            let mut s = Nemo::new(s_cfg);
-            let mut a = Nemo::new(a_cfg);
+        for (base_cfg, label) in [(wave_cfg, "wave=1"), (burst_cfg, "burst")] {
+            let mut deep_cfg = base_cfg.clone();
+            deep_cfg.io_queue_depth = u32::MAX; // covers any wave width
+            let mut s = Nemo::new(base_cfg);
+            let mut a = Nemo::new(deep_cfg);
             let mut gen = TraceGenerator::new(TraceConfig::twitter_merged(0.0004));
             for _ in 0..40_000 {
                 let r = gen.next_request();
@@ -1656,8 +1555,8 @@ mod tests {
             }
             let (mut ss, mut aa) = (s.stats(), a.stats());
             let (sd, ad) = (ss.device, aa.device);
-            // The async-only device counters differ by design; engine
-            // accounting and device op counts must not.
+            // Only an explicit depth feeds the async counters; engine
+            // accounting and device op counts must not differ.
             ss.device = Default::default();
             aa.device = Default::default();
             assert_eq!(ss, aa, "[{label}] engine stats diverged");
@@ -1668,7 +1567,7 @@ mod tests {
             );
             assert!(
                 ad.async_reads > 0,
-                "[{label}] async path must actually have been exercised"
+                "[{label}] the explicit depth must actually have been exercised"
             );
             assert_eq!(sd.async_reads, 0);
         }

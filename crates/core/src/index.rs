@@ -12,7 +12,7 @@ use nemo_bloom::{contains_in_slice, BloomFilter, ProbeSet};
 use nemo_flash::{FlashError, Nanos, PageAddr, ZoneId, ZoneState, ZonedFlash};
 use std::collections::{HashMap, VecDeque};
 
-pub(crate) use nemo_engine::retry::{backoff, retry_transient, DEVICE_RETRY_LIMIT};
+pub(crate) use nemo_engine::retry::{backoff, retry_transient};
 
 /// A candidate location returned by a PBFG query.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -507,8 +507,9 @@ impl PbfgIndex {
                 None
             } else {
                 self.stats.cache_misses += 1;
-                let (mut page, t) = retry_transient(&mut self.device_retries, |attempt| {
-                    dev.read_pages(addr, 1, backoff(now, attempt))
+                let mut page = vec![0u8; dev.geometry().page_size() as usize];
+                let t = retry_transient(&mut self.device_retries, |attempt| {
+                    dev.read_pages_into(addr, 1, &mut page, backoff(now, attempt))
                 })?;
                 flash_reads += 1;
                 bytes_read += page.len() as u64;

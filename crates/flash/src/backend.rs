@@ -99,32 +99,6 @@ impl ZonedFlash for AnyFlash {
         delegate!(self, dev => dev.read_pages_into(addr, pages, out, now))
     }
 
-    fn read_pages(
-        &mut self,
-        addr: PageAddr,
-        pages: u32,
-        now: Nanos,
-    ) -> Result<(Vec<u8>, Nanos), FlashError> {
-        delegate!(self, dev => dev.read_pages(addr, pages, now))
-    }
-
-    fn read_scattered(
-        &mut self,
-        addrs: &[PageAddr],
-        now: Nanos,
-    ) -> Result<(Vec<Vec<u8>>, Nanos), FlashError> {
-        delegate!(self, dev => dev.read_scattered(addrs, now))
-    }
-
-    fn read_scattered_into(
-        &mut self,
-        addrs: &[PageAddr],
-        out: &mut [u8],
-        now: Nanos,
-    ) -> Result<Nanos, FlashError> {
-        delegate!(self, dev => dev.read_scattered_into(addrs, out, now))
-    }
-
     fn submit_read_batch(
         &mut self,
         batch: &mut ReadBatch,
@@ -190,7 +164,9 @@ mod tests {
         let page: Vec<u8> = (0..512u32).map(|i| (i * 3 % 256) as u8).collect();
         for dev in &mut devs {
             let (addr, _) = dev.append(ZoneId(1), &page, Nanos::ZERO).unwrap();
-            let (back, _) = dev.read_pages(addr, 1, Nanos::ZERO).unwrap();
+            let mut back = vec![0u8; 512];
+            dev.read_pages_into(addr, 1, &mut back, Nanos::ZERO)
+                .unwrap();
             assert_eq!(back, page);
             assert_eq!(dev.stats().pages_written, 1);
         }

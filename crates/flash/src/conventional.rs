@@ -283,14 +283,15 @@ impl<D: ZonedFlash> ConventionalSsd<D> {
     fn collect_zone(&mut self, victim: u32, now: Nanos) -> Result<(), FlashError> {
         let ppz = self.geometry().pages_per_zone();
         let geom = self.geometry();
+        let mut buf = vec![0u8; geom.page_size() as usize];
         for page in 0..ppz {
             let addr = PageAddr::new(victim, page);
             let flat = geom.flat_index(addr) as usize;
             let Some(lpn) = self.rmap[flat] else { continue };
-            let (data, _) = self.flash.read_pages(addr, 1, now)?;
+            self.flash.read_pages_into(addr, 1, &mut buf, now)?;
             self.rmap[flat] = None;
             self.valid[victim as usize] -= 1;
-            let (new_addr, _) = self.append_frontier(&data, now)?;
+            let (new_addr, _) = self.append_frontier(&buf, now)?;
             self.map[lpn as usize] = Some(new_addr);
             self.rmap[geom.flat_index(new_addr) as usize] = Some(lpn);
             self.valid[new_addr.zone as usize] += 1;

@@ -24,8 +24,8 @@ use crate::zoned::{ReadBatch, ReadCompletion, ZoneState, ZonedFlash};
 /// Operation category a [`FaultRule`] matches.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultOp {
-    /// Page reads (sync and async; each page of a scattered batch is one
-    /// matching operation).
+    /// Page reads (each contiguous read call and each page of a
+    /// submitted batch is one matching operation).
     Read,
     /// Appends and zone finishes.
     Write,
@@ -263,8 +263,9 @@ impl<D: ZonedFlash> FaultyFlash<D> {
     }
 
     /// Device operations observed so far — the index space rule windows
-    /// are expressed in. Each append, finish, reset, sync read call, and
-    /// each *page* of a scattered/async batch counts as one operation.
+    /// are expressed in. Each append, finish, reset, contiguous read
+    /// call, and each *page* of a submitted batch counts as one
+    /// operation.
     pub fn ops_observed(&self) -> u64 {
         self.ops
     }
@@ -490,7 +491,9 @@ impl<D: ZonedFlash> ZonedFlash for FaultyFlash<D> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::clock::TickClock;
     use crate::dies::LatencyModel;
+    use crate::real::{RealFlash, RealFlashOptions};
     use crate::zoned::SimFlash;
 
     fn dev(plan: FaultPlan) -> FaultyFlash<SimFlash> {
@@ -510,7 +513,8 @@ mod tests {
     fn empty_plan_is_transparent() {
         let mut d = dev(FaultPlan::new(1));
         let addr = fill_zone(&mut d, 0);
-        let (back, _) = d.read_pages(addr, 1, Nanos::ZERO).unwrap();
+        let mut back = vec![0u8; 512];
+        d.read_pages_into(addr, 1, &mut back, Nanos::ZERO).unwrap();
         assert_eq!(back, vec![7u8; 512]);
         assert_eq!(d.stats().read_errors, 0);
         assert_eq!(d.stats().write_errors, 0);
@@ -588,6 +592,58 @@ mod tests {
         assert!(d.poll_completions(&mut batch, &mut comps).unwrap());
         assert_eq!(comps.len(), 2);
         assert_eq!(d.stats().read_errors, 1);
+    }
+
+    #[test]
+    fn empty_plan_times_scattered_reads_like_the_bare_device() {
+        // Wrapping must not change how a measuring device times a
+        // multi-page wave: a fault-free wrapper reports the wrapped
+        // device's chained completions and counts, not its own schedule.
+        let geom = Geometry::new(512, 4, 2, 2);
+        let tick = Nanos::from_micros(3);
+        let open = |name: &str| {
+            RealFlash::create_with_clock(
+                geom,
+                &std::env::temp_dir().join(name),
+                RealFlashOptions::default(),
+                TickClock::new(tick),
+            )
+            .unwrap()
+        };
+        let now = Nanos::from_micros(10);
+        let addrs = [
+            PageAddr::new(0, 3),
+            PageAddr::new(1, 0),
+            PageAddr::new(0, 1),
+        ];
+        let run = |dev: &mut dyn ZonedFlash| -> (Vec<ReadCompletion>, DeviceStats) {
+            dev.append(ZoneId(0), &vec![1u8; 512 * 4], Nanos::ZERO)
+                .unwrap();
+            dev.append(ZoneId(1), &vec![2u8; 512], Nanos::ZERO).unwrap();
+            let mut batch = ReadBatch::new();
+            let mut out = vec![0u8; 512 * addrs.len()];
+            dev.submit_read_batch(&mut batch, &addrs, &mut out, now, 0)
+                .unwrap();
+            let mut comps = Vec::new();
+            while !dev.poll_completions(&mut batch, &mut comps).unwrap() {}
+            (comps, dev.stats())
+        };
+        let (bare, bare_stats) = run(&mut open("nemo_faulty_drift_bare.img"));
+        let mut wrapped =
+            FaultyFlash::new(open("nemo_faulty_drift_wrapped.img"), FaultPlan::new(7));
+        let (faulty, faulty_stats) = run(&mut wrapped);
+        // One tick per read, chained: page `i` completes `i + 1` ticks
+        // after `now`.
+        let chained: Vec<Nanos> = (1..=3).map(|i| now + Nanos(tick.0 * i)).collect();
+        assert_eq!(bare.iter().map(|c| c.done).collect::<Vec<_>>(), chained);
+        assert_eq!(faulty, bare, "same per-page completions");
+        assert_eq!(faulty_stats, bare_stats, "same device accounting");
+        for name in [
+            "nemo_faulty_drift_bare.img",
+            "nemo_faulty_drift_wrapped.img",
+        ] {
+            std::fs::remove_file(std::env::temp_dir().join(name)).ok();
+        }
     }
 
     #[test]

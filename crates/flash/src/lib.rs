@@ -48,7 +48,8 @@
 //! let mut dev = SimFlash::new(geom);
 //! let page = vec![0xAB; 4096];
 //! let (addr, done) = dev.append(ZoneId(0), &page, Nanos::ZERO)?;
-//! let (data, _) = dev.read_pages(addr, 1, done)?;
+//! let mut data = vec![0; 4096];
+//! dev.read_pages_into(addr, 1, &mut data, done)?;
 //! assert_eq!(data, page);
 //! # Ok::<(), nemo_flash::FlashError>(())
 //! ```

@@ -4,7 +4,7 @@
 //!
 //! Where [`crate::SimFlash`] answers "what would this workload cost on
 //! the modeled device", [`RealFlash`] answers "what does it cost on this
-//! machine": every `append`/`read_pages` issues the actual syscall and
+//! machine": every `append`/`read_pages_into` issues the actual syscall and
 //! reports `now + elapsed` under the device's [`Clock`]. Zone semantics
 //! (append-only write pointers, reset-before-reuse, finish) are enforced
 //! in software, exactly as a host ZNS driver would over a conventional
@@ -47,16 +47,21 @@ const MAX_POOL_WORKERS: usize = 15;
 /// sleep/wake; an idle pool still parks after the window expires.
 const WORKER_SPIN: usize = 4096;
 
-/// The spin window actually used: [`WORKER_SPIN`] on multi-core hosts,
-/// zero on a single-CPU host, where the producer cannot run while a
-/// worker spins — there the window only steals the core from the very
-/// thread that would hand over the next job.
-fn worker_spin() -> usize {
-    static SPIN: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
-    *SPIN.get_or_init(|| match std::thread::available_parallelism() {
-        Ok(n) if n.get() > 1 => WORKER_SPIN,
-        _ => 0,
-    })
+/// The spin window a worker keeps after serving one chunk of a
+/// `chunks`-way batch: [`WORKER_SPIN`] when the batch's threads (the
+/// submitter plus `chunks - 1` workers) each have a core, zero
+/// otherwise. A spinning worker without a core of its own steals one
+/// from the submitter or from a worker mid-read, and that preemption
+/// lands inside the measured read times — on a single-CPU host every
+/// pooled batch is oversubscribed, so workers never spin there.
+fn worker_spin(chunks: usize) -> usize {
+    static CPUS: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
+    let cpus = *CPUS.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()));
+    if chunks <= cpus {
+        WORKER_SPIN
+    } else {
+        0
+    }
 }
 
 #[cfg(any(target_arch = "x86_64", target_arch = "x86"))]
@@ -81,7 +86,7 @@ pub struct RealFlashOptions {
     /// cost). On a page-cache-backed image the medium is free, so there
     /// is no device time for queue-depth overlap to win back; this
     /// injects the per-page read time a real die would take — the
-    /// synchronous chain pays it serially, the submit/poll pool overlaps
+    /// sequential chain pays it serially, the submit/poll pool overlaps
     /// it across workers, exactly like die parallelism on hardware (the
     /// same trick as `null_blk` completion-latency injection). Reads
     /// only; appends, resets and barriers stay purely measured.
@@ -155,6 +160,9 @@ struct ReadJob {
     page_size: usize,
     direct_io: bool,
     emulate: Option<Duration>,
+    /// `try_recv` spins the worker keeps after this job before parking
+    /// (see [`worker_spin`]).
+    spin: usize,
 }
 
 /// A worker's answer to one [`ReadJob`].
@@ -172,9 +180,10 @@ struct ReadReply {
 
 fn run_read_worker(jobs: Receiver<ReadJob>, replies: Sender<ReadReply>) {
     let mut staging = AlignedBuf::default();
+    let mut spin = 0;
     'serve: loop {
         let mut job = None;
-        for _ in 0..worker_spin() {
+        for _ in 0..spin {
             match jobs.try_recv() {
                 Ok(j) => {
                     job = Some(j);
@@ -191,6 +200,7 @@ fn run_read_worker(jobs: Receiver<ReadJob>, replies: Sender<ReadReply>) {
                 Err(_) => break,
             },
         };
+        spin = job.spin;
         let mut data = vec![0u8; job.offsets.len() * job.page_size];
         let mut elapsed = Vec::with_capacity(job.offsets.len());
         let mut err = None;
@@ -285,7 +295,7 @@ impl Drop for ReadPool {
 
 /// Real-I/O zoned flash device over a preallocated file or block device.
 ///
-/// Completion times are measured, not modeled: `append`/`read_pages`
+/// Completion times are measured, not modeled: `append`/`read_pages_into`
 /// return `now + elapsed` where `elapsed` is the wall-clock duration of
 /// the underlying syscalls under the device's [`Clock`]. Substitute a
 /// [`crate::TickClock`] to make the measured path deterministic in tests.
@@ -301,7 +311,8 @@ impl Drop for ReadPool {
 /// let page = vec![0xCD; 512];
 /// let (addr, done) = dev.append(ZoneId(0), &page, Nanos::ZERO)?;
 /// assert!(done >= Nanos::ZERO); // measured, machine-dependent
-/// let (back, _) = dev.read_pages(addr, 1, done)?;
+/// let mut back = vec![0; 512];
+/// dev.read_pages_into(addr, 1, &mut back, done)?;
 /// assert_eq!(back, page);
 /// # std::fs::remove_file(&path).ok();
 /// # Ok::<(), nemo_flash::FlashError>(())
@@ -328,7 +339,7 @@ pub struct RealFlash<C: Clock = WallClock> {
     /// [`ZonedFlash::suspect_zones`].
     suspect: Vec<ZoneId>,
     /// Read workers behind `submit_read_batch`; spawned on first use so
-    /// purely synchronous devices never start a thread.
+    /// devices that never see a depth ≥ 2 never start a thread.
     pool: Option<ReadPool>,
 }
 
@@ -458,19 +469,6 @@ impl<C: Clock> RealFlash<C> {
         self.opts.emulated_read_latency = latency;
     }
 
-    /// Name of the asynchronous submission backend compiled into this
-    /// build. The `io-uring` cargo feature reserves the kernel-ring
-    /// implementation slot; until that lands, builds with the feature on
-    /// still run the bounded thread-pool gather, and this reports so —
-    /// experiments print it next to their queue-depth results.
-    pub fn submission_backend() -> &'static str {
-        if cfg!(feature = "io-uring") {
-            "thread-pool (io-uring feature enabled; kernel ring not wired in this build)"
-        } else {
-            "thread-pool"
-        }
-    }
-
     fn check_zone(&self, zone: ZoneId) -> Result<(), FlashError> {
         if zone.0 >= self.geom.zone_count() {
             return Err(FlashError::BadZone(zone));
@@ -495,6 +493,27 @@ impl<C: Clock> RealFlash<C> {
         if self.opts.sync_on_barrier {
             self.meta.sync_all()?;
             self.stats.superblock_syncs += 1;
+        }
+        Ok(())
+    }
+
+    /// Reads `addrs` on the calling thread, chained: each page issues at
+    /// the previous page's completion, timed through the device's
+    /// [`Clock`], and lands in `batch`. This is the whole of a depth-0
+    /// submission, the inline chunk of a deeper one, and the valid
+    /// prefix read before a bad address surfaces.
+    fn read_chained(
+        &mut self,
+        batch: &mut ReadBatch,
+        addrs: &[PageAddr],
+        out: &mut [u8],
+        now: Nanos,
+    ) -> Result<(), FlashError> {
+        let psz = self.geom.page_size() as usize;
+        let mut done = now;
+        for (i, (page, &addr)) in out.chunks_exact_mut(psz).zip(addrs).enumerate() {
+            done = self.read_pages_into(addr, 1, page, done)?;
+            batch.record(i as u32, done);
         }
         Ok(())
     }
@@ -559,12 +578,17 @@ impl<C: Clock> ZonedFlash for RealFlash<C> {
         validate_read(&self.geom, addr, pages, wp, out.len())?;
         let off = self.byte_offset(addr);
         let t0 = self.clock.monotonic();
-        if self.opts.direct_io {
+        let res = if self.opts.direct_io {
             let window = self.staging.window(out.len());
-            self.data.read_exact_at(window, off)?;
-            out.copy_from_slice(window);
+            self.data
+                .read_exact_at(window, off)
+                .map(|()| out.copy_from_slice(window))
         } else {
-            self.data.read_exact_at(out, off)?;
+            self.data.read_exact_at(out, off)
+        };
+        if let Err(e) = res {
+            self.stats.read_errors += 1;
+            return Err(e.into());
         }
         if let Some(d) = self.opts.emulated_read_latency {
             emulate_nand_read(Some(d * pages));
@@ -577,35 +601,18 @@ impl<C: Clock> ZonedFlash for RealFlash<C> {
         Ok(now + elapsed)
     }
 
-    /// Chained, not parallel: syscalls on this backend cannot overlap,
-    /// so each page is issued at the previous page's completion and the
-    /// sequential costs accumulate in the returned time (the trait
-    /// default's parallel max would hide all but the slowest read).
-    fn read_scattered(
-        &mut self,
-        addrs: &[PageAddr],
-        now: Nanos,
-    ) -> Result<(Vec<Vec<u8>>, Nanos), FlashError> {
-        let mut out = Vec::with_capacity(addrs.len());
-        let mut done = now;
-        for &addr in addrs {
-            let (data, t) = self.read_pages(addr, 1, done)?;
-            out.push(data);
-            done = t;
-        }
-        Ok((out, done))
-    }
-
-    /// Genuinely overlapped, unlike the chained synchronous path: the
-    /// batch is cut into `min(queue_depth, len)` contiguous chunks, one
-    /// serviced inline by the caller (so depth 1 degenerates to the
-    /// synchronous loop with zero dispatch overhead) and the rest by a
-    /// lazily spawned bounded thread pool issuing concurrent `pread`s.
-    /// Per-page completion times are wall-measured with
-    /// [`std::time::Instant`] inside each chunk (a page's `done` is
-    /// `now` + its chunk's cumulative elapsed), independent of the
-    /// device's pluggable [`Clock`], which keeps covering the
-    /// synchronous path.
+    /// Depth 0 is this backend's unthrottled default: syscalls issued
+    /// from one thread cannot overlap, so the caller reads the batch
+    /// inline, chained through the device's [`Clock`], and the
+    /// sequential costs accumulate in the completions. A positive depth
+    /// genuinely overlaps: the batch is cut into `min(queue_depth, len)`
+    /// contiguous chunks, one read inline the same chained way (so
+    /// depth 1 is the depth-0 schedule) and the rest by a lazily
+    /// spawned bounded thread pool issuing concurrent `pread`s. Pool
+    /// pages are wall-measured with [`std::time::Instant`] inside each
+    /// chunk (a page's `done` is `now` + its chunk's cumulative
+    /// elapsed), independent of the pluggable [`Clock`]: overlapped
+    /// waits cannot be replayed through a serial tick source.
     fn submit_read_batch(
         &mut self,
         batch: &mut ReadBatch,
@@ -621,21 +628,20 @@ impl<C: Clock> ZonedFlash for RealFlash<C> {
                 page_size: self.geom.page_size(),
             });
         }
+        batch.reset(addrs.len());
         // Validate everything before dispatching: on the first bad
-        // address, replay the valid prefix through the synchronous path
-        // so outcomes and op counts match `read_scattered_into` exactly,
-        // then surface the error.
+        // address, read the valid prefix inline so outcomes and op
+        // counts match a page-by-page loop, then surface the error.
         for (k, &addr) in addrs.iter().enumerate() {
             let wp = self
                 .zones
                 .get(addr.zone as usize)
                 .map_or(0, |z| z.write_ptr);
             if let Err(e) = validate_read(&self.geom, addr, 1, wp, psz) {
-                self.read_scattered_into(&addrs[..k], &mut out[..k * psz], now)?;
+                self.read_chained(batch, &addrs[..k], &mut out[..k * psz], now)?;
                 return Err(e);
             }
         }
-        batch.reset(addrs.len());
         if addrs.is_empty() {
             return Ok(());
         }
@@ -664,6 +670,7 @@ impl<C: Clock> ZonedFlash for RealFlash<C> {
                     page_size: psz,
                     direct_io,
                     emulate: self.opts.emulated_read_latency,
+                    spin: worker_spin(chunks),
                 };
                 pool.workers[c - 1]
                     .jobs
@@ -673,39 +680,17 @@ impl<C: Clock> ZonedFlash for RealFlash<C> {
             }
         }
         // Chunk 0, serviced by the submitting thread.
-        let mut first_err: Option<FlashError> = None;
-        let mut total_busy = Nanos::ZERO;
-        let mut completed = 0usize;
-        let mut cum = Nanos::ZERO;
-        for (i, chunk) in out[..inline_len * psz].chunks_exact_mut(psz).enumerate() {
-            let off = self.byte_offset(addrs[i]);
-            let t0 = Instant::now();
-            let res = if self.opts.direct_io {
-                let window = self.staging.window(psz);
-                self.data
-                    .read_exact_at(window, off)
-                    .map(|()| chunk.copy_from_slice(window))
-            } else {
-                self.data.read_exact_at(chunk, off)
-            };
-            match res {
-                Ok(()) => {
-                    emulate_nand_read(self.opts.emulated_read_latency);
-                    let e = Nanos(t0.elapsed().as_nanos() as u64);
-                    cum += e;
-                    total_busy += e;
-                    batch.record(i as u32, now + cum);
-                    completed += 1;
-                }
-                Err(e) => {
-                    self.stats.read_errors += 1;
-                    first_err = Some(e.into());
-                    break;
-                }
-            }
-        }
+        let mut first_err = self
+            .read_chained(
+                batch,
+                &addrs[..inline_len],
+                &mut out[..inline_len * psz],
+                now,
+            )
+            .err();
         // Harvest every dispatched chunk (even after an error, to keep
         // the reply channel in sync with future batches).
+        let (mut pool_busy, mut pool_pages) = (Nanos::ZERO, 0usize);
         if chunks > 1 {
             let pool = self.pool.as_mut().expect("pool exists after dispatch");
             for _ in 1..chunks {
@@ -717,10 +702,10 @@ impl<C: Clock> ZonedFlash for RealFlash<C> {
                 let mut cum = Nanos::ZERO;
                 for (j, &e) in reply.elapsed.iter().enumerate() {
                     cum += e;
-                    total_busy += e;
+                    pool_busy += e;
                     batch.record((cstart + j) as u32, now + cum);
                 }
-                completed += pages;
+                pool_pages += pages;
                 if let Some(e) = reply.err {
                     // Every failed chunk is counted, even though the call
                     // can only surface one error — multi-chunk failures
@@ -730,37 +715,18 @@ impl<C: Clock> ZonedFlash for RealFlash<C> {
                 }
             }
         }
-        self.stats.pages_read += completed as u64;
-        self.stats.bytes_read += (completed * psz) as u64;
-        self.stats.read_ops += completed as u64;
-        self.stats.busy_time += total_busy;
+        self.stats.pages_read += pool_pages as u64;
+        self.stats.bytes_read += (pool_pages * psz) as u64;
+        self.stats.read_ops += pool_pages as u64;
+        self.stats.busy_time += pool_busy;
         if let Some(e) = first_err {
             return Err(e);
         }
         batch.seal();
-        batch.note_async(&mut self.stats, now, chunks);
+        // `chunks` pages are in flight at once; depth 0 keeps it 0 so
+        // the default schedule leaves the async counters alone.
+        batch.note_async(&mut self.stats, now, queue_depth.min(chunks));
         Ok(())
-    }
-
-    /// Chained like [`Self::read_scattered`]; see there.
-    fn read_scattered_into(
-        &mut self,
-        addrs: &[PageAddr],
-        out: &mut [u8],
-        now: Nanos,
-    ) -> Result<Nanos, FlashError> {
-        let psz = self.geom.page_size() as usize;
-        if out.len() != addrs.len() * psz {
-            return Err(FlashError::UnalignedLength {
-                len: out.len(),
-                page_size: self.geom.page_size(),
-            });
-        }
-        let mut done = now;
-        for (chunk, &addr) in out.chunks_exact_mut(psz).zip(addrs) {
-            done = self.read_pages_into(addr, 1, chunk, done)?;
-        }
-        Ok(done)
     }
 
     fn finish_zone(&mut self, zone: ZoneId) -> Result<(), FlashError> {
@@ -835,6 +801,32 @@ mod tests {
         .unwrap()
     }
 
+    /// Reads `pages` pages at `addr` into a fresh buffer.
+    fn read(
+        dev: &mut RealFlash,
+        addr: PageAddr,
+        pages: u32,
+        now: Nanos,
+    ) -> Result<(Vec<u8>, Nanos), FlashError> {
+        let mut out = vec![0u8; pages as usize * dev.geometry().page_size() as usize];
+        let done = dev.read_pages_into(addr, pages, &mut out, now)?;
+        Ok((out, done))
+    }
+
+    /// The reference for a scattered read: one `read_pages_into` per
+    /// page, each issued at `now`, stopping at the first error.
+    fn read_each(
+        dev: &mut RealFlash,
+        addrs: &[PageAddr],
+        out: &mut [u8],
+    ) -> Result<(), FlashError> {
+        let psz = dev.geometry().page_size() as usize;
+        addrs
+            .iter()
+            .zip(out.chunks_exact_mut(psz))
+            .try_for_each(|(&addr, page)| dev.read_pages_into(addr, 1, page, Nanos::ZERO).map(drop))
+    }
+
     #[test]
     fn append_read_roundtrip_with_measured_time() {
         let mut dev = small("roundtrip.img");
@@ -842,7 +834,7 @@ mod tests {
         let now = Nanos::from_micros(100);
         let (addr, wdone) = dev.append(ZoneId(1), &data, now).unwrap();
         assert!(wdone >= now, "completion never precedes issue");
-        let (back, rdone) = dev.read_pages(addr, 1, wdone).unwrap();
+        let (back, rdone) = read(&mut dev, addr, 1, wdone).unwrap();
         assert_eq!(back, data);
         assert!(rdone >= wdone);
         let s = dev.stats();
@@ -861,7 +853,7 @@ mod tests {
             Err(FlashError::ZoneNotWritable(_))
         ));
         assert!(matches!(
-            dev.read_pages(PageAddr::new(1, 0), 1, Nanos::ZERO),
+            read(&mut dev, PageAddr::new(1, 0), 1, Nanos::ZERO),
             Err(FlashError::ReadBeyondWritePointer { .. })
         ));
         dev.reset_zone(ZoneId(0), Nanos::ZERO).unwrap();
@@ -909,7 +901,7 @@ mod tests {
         assert_eq!(dev.zone_state(ZoneId(1)), ZoneState::Full);
         assert_eq!(dev.reset_count(ZoneId(2)), 1);
         assert_eq!(dev.generation(), 3, "generation survives reopen");
-        let (back, _) = dev.read_pages(PageAddr::new(0, 0), 1, Nanos::ZERO).unwrap();
+        let (back, _) = read(&mut dev, PageAddr::new(0, 0), 1, Nanos::ZERO).unwrap();
         assert_eq!(back, data);
         std::fs::remove_file(&path).ok();
     }
@@ -932,19 +924,6 @@ mod tests {
     }
 
     #[test]
-    fn scattered_into_matches_individual_reads() {
-        let mut dev = small("scattered.img");
-        dev.append(ZoneId(0), &vec![9u8; 512 * 3], Nanos::ZERO)
-            .unwrap();
-        let addrs = [PageAddr::new(0, 2), PageAddr::new(0, 0)];
-        let mut flat = vec![0u8; 512 * 2];
-        dev.read_scattered_into(&addrs, &mut flat, Nanos::ZERO)
-            .unwrap();
-        let (a, _) = dev.read_pages(addrs[0], 1, Nanos::ZERO).unwrap();
-        assert_eq!(&flat[..512], &a[..]);
-    }
-
-    #[test]
     fn async_batch_matches_sync_contents_and_counts() {
         let geom = Geometry::new(512, 8, 2, 4);
         let mut sync_dev =
@@ -960,9 +939,7 @@ mod tests {
             .map(|&p| PageAddr::new(0, p))
             .collect();
         let mut sync_out = vec![0u8; addrs.len() * 512];
-        sync_dev
-            .read_scattered_into(&addrs, &mut sync_out, Nanos::ZERO)
-            .unwrap();
+        read_each(&mut sync_dev, &addrs, &mut sync_out).unwrap();
 
         let now = Nanos::from_micros(5);
         let mut batch = ReadBatch::new();
@@ -986,7 +963,10 @@ mod tests {
         );
         assert_eq!(a.async_reads, 6);
         assert_eq!(a.inflight_hwm, 4);
-        assert_eq!(s.async_reads, 0, "sync path leaves async counters alone");
+        assert_eq!(
+            s.async_reads, 0,
+            "contiguous reads leave async counters alone"
+        );
     }
 
     #[test]
@@ -997,6 +977,10 @@ mod tests {
         let addrs = [PageAddr::new(0, 2), PageAddr::new(0, 0)];
         let mut batch = ReadBatch::new();
         let mut out = vec![0u8; 512 * 2];
+        dev.submit_read_batch(&mut batch, &addrs, &mut out, Nanos::ZERO, 0)
+            .unwrap();
+        assert!(dev.pool.is_none(), "depth 0 never spawns workers");
+        assert_eq!(dev.stats().async_reads, 0, "depth 0 is the default path");
         dev.submit_read_batch(&mut batch, &addrs, &mut out, Nanos::ZERO, 1)
             .unwrap();
         assert!(dev.pool.is_none(), "depth 1 never spawns workers");
@@ -1027,20 +1011,20 @@ mod tests {
         }
         let addrs = [PageAddr::new(0, 0), PageAddr::new(0, 2)];
         let mut out = vec![0u8; 512 * 2];
-        let se = sync_dev
-            .read_scattered_into(&addrs, &mut out, Nanos::ZERO)
-            .unwrap_err();
-        let mut batch = ReadBatch::new();
-        let ae = async_dev
-            .submit_read_batch(&mut batch, &addrs, &mut out, Nanos::ZERO, 4)
-            .unwrap_err();
+        let se = read_each(&mut sync_dev, &addrs, &mut out).unwrap_err();
         assert!(matches!(se, FlashError::ReadBeyondWritePointer { .. }));
-        assert!(matches!(ae, FlashError::ReadBeyondWritePointer { .. }));
+        let mut batch = ReadBatch::new();
+        for depth in [0, 4] {
+            let ae = async_dev
+                .submit_read_batch(&mut batch, &addrs, &mut out, Nanos::ZERO, depth)
+                .unwrap_err();
+            assert_eq!(ae, se, "depth {depth}");
+        }
         let (s, a) = (sync_dev.stats(), async_dev.stats());
         assert_eq!(
-            (s.pages_read, s.read_ops),
+            (s.pages_read * 2, s.read_ops * 2),
             (a.pages_read, a.read_ops),
-            "the valid prefix is read and counted on both paths"
+            "each submission reads and counts the valid prefix once"
         );
     }
 

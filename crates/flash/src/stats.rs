@@ -29,9 +29,10 @@ pub struct DeviceStats {
     pub superblock_syncs: u64,
     /// Total device-busy time accumulated over all dies.
     pub busy_time: Nanos,
-    /// Pages read through the asynchronous submit/poll path
+    /// Pages read by batches submitted at an explicit queue depth ≥ 1
     /// ([`crate::ZonedFlash::submit_read_batch`]); a subset of
-    /// `pages_read`.
+    /// `pages_read`. Depth-0 batches, the unthrottled default, leave
+    /// this and the two fields below alone.
     pub async_reads: u64,
     /// Summed submit-to-completion latency over all async page reads
     /// (divide by `async_reads` for the mean). Modeled devices record the

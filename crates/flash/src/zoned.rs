@@ -98,17 +98,23 @@ impl ReadBatch {
 
     /// Folds the async-path counters for this sealed batch into `stats`:
     /// pages completed, summed submit-to-completion latency, and the
-    /// in-flight high-water mark (`min(queue_depth, batch len)` — both
-    /// the modeled schedule and the thread-pool gather keep at most that
-    /// many pages in flight).
+    /// in-flight high-water mark (the effective depth — both the
+    /// modeled schedule and the thread-pool gather keep at most that
+    /// many pages in flight). A depth-0 batch is the unthrottled
+    /// default schedule and leaves the counters alone, so default
+    /// configurations report identical [`DeviceStats`] on backends whose
+    /// completion times differ.
     pub(crate) fn note_async(&self, stats: &mut DeviceStats, now: Nanos, queue_depth: usize) {
+        if queue_depth == 0 {
+            return;
+        }
         stats.async_reads += self.total as u64;
         for c in &self.ready {
             stats.submit_lat_total += c.done.saturating_sub(now);
         }
         stats.inflight_hwm = stats
             .inflight_hwm
-            .max(queue_depth.max(1).min(self.total) as u64);
+            .max(effective_depth(queue_depth, self.total) as u64);
     }
 }
 
@@ -190,10 +196,11 @@ pub trait ZonedFlash {
         now: Nanos,
     ) -> Result<(PageAddr, Nanos), FlashError>;
     /// Reads `pages` consecutive pages starting at `addr` into `out`,
-    /// which must be exactly `pages * page_size` bytes. The
-    /// allocation-free primitive behind [`Self::read_pages`]; hot paths
-    /// (Nemo's candidate waves, the write-back scan) call this with a
-    /// reused buffer instead of allocating per read.
+    /// which must be exactly `pages * page_size` bytes: the contiguous
+    /// read (cold recovery scans whole zones through it, the index and
+    /// the write-back scan read single pages). Callers reuse `out`, so
+    /// the read allocates nothing. Scattered pages go through
+    /// [`Self::submit_read_batch`] instead.
     ///
     /// # Errors
     ///
@@ -206,93 +213,21 @@ pub trait ZonedFlash {
         out: &mut [u8],
         now: Nanos,
     ) -> Result<Nanos, FlashError>;
-    /// Reads `pages` consecutive pages starting at `addr` into a fresh
-    /// buffer.
-    ///
-    /// # Errors
-    ///
-    /// Fails if the range leaves the zone or crosses the write pointer.
-    fn read_pages(
-        &mut self,
-        addr: PageAddr,
-        pages: u32,
-        now: Nanos,
-    ) -> Result<(Vec<u8>, Nanos), FlashError> {
-        let psz = self.geometry().page_size() as usize;
-        let mut out = vec![0u8; pages as usize * psz];
-        let done = self.read_pages_into(addr, pages, &mut out, now)?;
-        Ok((out, done))
-    }
-    /// Reads a scattered set of single pages "in parallel": the default
-    /// issues each page at `now` and returns the maximum completion over
-    /// all pages, modelling the parallel candidate-SG reads Nemo issues
-    /// after a PBFG query (on the simulator, die contention still
-    /// serializes same-die pages). Measuring devices whose syscalls
-    /// cannot overlap — [`crate::RealFlash`] — override this to *chain*
-    /// issue times instead, so the sequential syscall costs accumulate
-    /// in the completion rather than being hidden by a max.
-    ///
-    /// # Errors
-    ///
-    /// Fails on the first invalid address.
-    fn read_scattered(
-        &mut self,
-        addrs: &[PageAddr],
-        now: Nanos,
-    ) -> Result<(Vec<Vec<u8>>, Nanos), FlashError> {
-        let mut out = Vec::with_capacity(addrs.len());
-        let mut done = now;
-        for &addr in addrs {
-            let (data, t) = self.read_pages(addr, 1, now)?;
-            out.push(data);
-            done = done.max(t);
-        }
-        Ok((out, done))
-    }
-    /// Allocation-free [`Self::read_scattered`]: page `i` lands at
-    /// `out[i * page_size..]`. `out` must be exactly
-    /// `addrs.len() * page_size` bytes. Same timing semantics as
-    /// [`Self::read_scattered`] (parallel-max default; measuring devices
-    /// chain).
-    ///
-    /// # Errors
-    ///
-    /// Fails on the first invalid address or if `out` has the wrong
-    /// length.
-    fn read_scattered_into(
-        &mut self,
-        addrs: &[PageAddr],
-        out: &mut [u8],
-        now: Nanos,
-    ) -> Result<Nanos, FlashError> {
-        let psz = self.geometry().page_size() as usize;
-        if out.len() != addrs.len() * psz {
-            return Err(FlashError::UnalignedLength {
-                len: out.len(),
-                page_size: self.geometry().page_size(),
-            });
-        }
-        let mut done = now;
-        for (chunk, &addr) in out.chunks_exact_mut(psz).zip(addrs) {
-            let t = self.read_pages_into(addr, 1, chunk, now)?;
-            done = done.max(t);
-        }
-        Ok(done)
-    }
     /// Submits a scattered single-page read batch for completion-based
-    /// harvesting — the asynchronous counterpart of
-    /// [`Self::read_scattered_into`]. Page `i` of `addrs` lands at
-    /// `out[i * page_size..]`; `out` must be exactly
-    /// `addrs.len() * page_size` bytes. At most `queue_depth` pages are
-    /// in flight at once (`0` is treated as `1`): the default
-    /// implementation models an open submission queue over the die
-    /// timeline — each page issues at `now` while the queue has room,
-    /// otherwise at the earliest outstanding completion — and
-    /// [`crate::RealFlash`] overrides it to genuinely overlap `pread`s
-    /// on a bounded thread pool. With `queue_depth >= addrs.len()` the
-    /// modeled schedule is identical to [`Self::read_scattered_into`]'s
-    /// parallel issue, so sync and async paths agree bit-for-bit on the
-    /// simulators.
+    /// harvesting — the one scattered read path. Page `i` of `addrs`
+    /// lands at `out[i * page_size..]`; `out` must be exactly
+    /// `addrs.len() * page_size` bytes.
+    ///
+    /// `queue_depth` caps the pages in flight. `0` asks for the device's
+    /// unthrottled default: the modeled backends issue every page at
+    /// `now` (the per-die timeline still serializes same-die pages),
+    /// and [`crate::RealFlash`], whose caller-side syscalls cannot
+    /// overlap, reads the pages inline and chained. A positive depth
+    /// bounds the queue: the default implementation models an open
+    /// submission queue over the die timeline — each page issues at
+    /// `now` while the queue has room, otherwise at the earliest
+    /// outstanding completion — and [`crate::RealFlash`] overlaps
+    /// `pread`s on a bounded thread pool.
     ///
     /// Both in-repo implementations complete all I/O before returning
     /// (the modeled schedule is known at submit time; the thread pool
@@ -304,11 +239,11 @@ pub trait ZonedFlash {
     ///
     /// # Errors
     ///
-    /// Fails if `out` has the wrong length or any address is invalid,
-    /// with the same semantics as the synchronous path: pages preceding
-    /// the first invalid address may already have been read (and
-    /// counted in [`DeviceStats`]); the batch is left unusable and must
-    /// be re-submitted.
+    /// Fails if `out` has the wrong length or any address is invalid.
+    /// Pages preceding the first invalid address may already have been
+    /// read (and counted in [`DeviceStats`]), exactly as a page-by-page
+    /// [`Self::read_pages_into`] loop would; the batch is left unusable
+    /// and must be re-submitted.
     fn submit_read_batch(
         &mut self,
         batch: &mut ReadBatch,
@@ -364,14 +299,26 @@ pub trait ZonedFlash {
     fn stats(&self) -> DeviceStats;
 }
 
+/// Pages a batch of `len` keeps in flight at `queue_depth`: `0` is the
+/// unthrottled default, so the whole batch.
+pub(crate) fn effective_depth(queue_depth: usize, len: usize) -> usize {
+    if queue_depth == 0 {
+        len
+    } else {
+        queue_depth.min(len)
+    }
+}
+
 /// Queue-depth-bounded submission over a device's own
 /// `read_pages_into`: the shared engine behind the trait's default
 /// [`ZonedFlash::submit_read_batch`]. Pages issue in index order; page
 /// `i` issues at `now` while fewer than `queue_depth` reads are
 /// outstanding, otherwise at the earliest outstanding completion (an
-/// open submission queue that refills as slots free up). Going through
-/// `read_pages_into` per page keeps [`DeviceStats`] op counts and error
-/// semantics identical to the synchronous scattered path.
+/// open submission queue that refills as slots free up). Depth 0, or a
+/// depth covering the batch, issues every page at `now` without
+/// tracking the queue at all. Going through `read_pages_into` per page
+/// keeps [`DeviceStats`] op counts and error semantics identical to a
+/// page-by-page loop.
 pub(crate) fn modeled_submit<D: ZonedFlash + ?Sized>(
     dev: &mut D,
     batch: &mut ReadBatch,
@@ -388,8 +335,10 @@ pub(crate) fn modeled_submit<D: ZonedFlash + ?Sized>(
         });
     }
     batch.reset(addrs.len());
-    let qd = queue_depth.max(1);
-    let mut outstanding: BinaryHeap<Reverse<Nanos>> = BinaryHeap::with_capacity(qd.min(64));
+    let qd = effective_depth(queue_depth, addrs.len());
+    // Only a binding depth needs the queue; `new` does not allocate.
+    let throttled = qd < addrs.len();
+    let mut outstanding: BinaryHeap<Reverse<Nanos>> = BinaryHeap::new();
     for (i, (chunk, &addr)) in out.chunks_exact_mut(psz).zip(addrs).enumerate() {
         let issue = if outstanding.len() < qd {
             now
@@ -398,7 +347,9 @@ pub(crate) fn modeled_submit<D: ZonedFlash + ?Sized>(
             now.max(freed)
         };
         let done = dev.read_pages_into(addr, 1, chunk, issue)?;
-        outstanding.push(Reverse(done));
+        if throttled {
+            outstanding.push(Reverse(done));
+        }
         batch.record(i as u32, done);
     }
     batch.seal();
@@ -854,13 +805,41 @@ mod tests {
         SimFlash::with_latency(Geometry::new(512, 4, 3, 2), LatencyModel::default())
     }
 
+    /// Reads `pages` pages at `addr` into a fresh buffer.
+    fn read(
+        dev: &mut SimFlash,
+        addr: PageAddr,
+        pages: u32,
+        now: Nanos,
+    ) -> Result<(Vec<u8>, Nanos), FlashError> {
+        let mut out = vec![0u8; pages as usize * dev.geometry().page_size() as usize];
+        let done = dev.read_pages_into(addr, pages, &mut out, now)?;
+        Ok((out, done))
+    }
+
+    /// Submits `addrs` at `queue_depth` and polls the batch dry.
+    fn submit(
+        dev: &mut SimFlash,
+        addrs: &[PageAddr],
+        now: Nanos,
+        queue_depth: usize,
+    ) -> (Vec<u8>, Vec<ReadCompletion>) {
+        let mut out = vec![0u8; addrs.len() * dev.geometry().page_size() as usize];
+        let mut batch = ReadBatch::new();
+        dev.submit_read_batch(&mut batch, addrs, &mut out, now, queue_depth)
+            .unwrap();
+        let mut comps = Vec::new();
+        while !dev.poll_completions(&mut batch, &mut comps).unwrap() {}
+        (out, comps)
+    }
+
     #[test]
     fn append_read_roundtrip() {
         let mut dev = small();
         let data: Vec<u8> = (0..512).map(|i| (i % 251) as u8).collect();
         let (addr, _) = dev.append(ZoneId(1), &data, Nanos::ZERO).unwrap();
         assert_eq!(addr, PageAddr::new(1, 0));
-        let (back, _) = dev.read_pages(addr, 1, Nanos::ZERO).unwrap();
+        let (back, _) = read(&mut dev, addr, 1, Nanos::ZERO).unwrap();
         assert_eq!(back, data);
     }
 
@@ -903,9 +882,7 @@ mod tests {
     fn read_beyond_write_pointer_fails() {
         let mut dev = small();
         dev.append(ZoneId(0), &vec![1u8; 512], Nanos::ZERO).unwrap();
-        let err = dev
-            .read_pages(PageAddr::new(0, 1), 1, Nanos::ZERO)
-            .unwrap_err();
+        let err = read(&mut dev, PageAddr::new(0, 1), 1, Nanos::ZERO).unwrap_err();
         assert!(matches!(err, FlashError::ReadBeyondWritePointer { .. }));
     }
 
@@ -957,7 +934,7 @@ mod tests {
         let mut dev = small();
         dev.append(ZoneId(0), &vec![1u8; 512 * 2], Nanos::ZERO)
             .unwrap();
-        dev.read_pages(PageAddr::new(0, 0), 2, Nanos::ZERO).unwrap();
+        read(&mut dev, PageAddr::new(0, 0), 2, Nanos::ZERO).unwrap();
         let s = dev.stats();
         assert_eq!(s.pages_written, 2);
         assert_eq!(s.bytes_written, 1024);
@@ -979,7 +956,7 @@ mod tests {
         let mut dev = SimFlash::with_latency(geom, lat);
         let (_, wdone) = dev.append(ZoneId(0), &vec![1u8; 512], Nanos::ZERO).unwrap();
         assert_eq!(wdone, Nanos::from_micros(14));
-        let (_, rdone) = dev.read_pages(PageAddr::new(0, 0), 1, Nanos::ZERO).unwrap();
+        let (_, rdone) = read(&mut dev, PageAddr::new(0, 0), 1, Nanos::ZERO).unwrap();
         assert_eq!(rdone, Nanos::from_micros(84), "read queued behind write");
     }
 
@@ -987,40 +964,38 @@ mod tests {
     fn scattered_reads_parallelize_across_dies() {
         let geom = Geometry::new(512, 4, 2, 4);
         let mut dev = SimFlash::with_latency(geom, LatencyModel::default());
-        dev.append(ZoneId(0), &vec![1u8; 512 * 4], Nanos::ZERO)
-            .unwrap();
+        let payload: Vec<u8> = (0..512 * 4u32).map(|i| (i * 7 % 251) as u8).collect();
+        dev.append(ZoneId(0), &payload, Nanos::ZERO).unwrap();
         let addrs = [
+            PageAddr::new(0, 2),
             PageAddr::new(0, 0),
             PageAddr::new(0, 1),
-            PageAddr::new(0, 2),
         ];
-        let (bufs, done) = dev.read_scattered(&addrs, Nanos::from_millis(1)).unwrap();
-        assert_eq!(bufs.len(), 3);
-        // All three pages live on distinct dies -> one read latency total.
-        assert_eq!(
-            done,
-            Nanos::from_millis(1) + Nanos::from_micros(70),
-            "scattered reads should overlap"
+        let now = Nanos::from_millis(1);
+        // Depth 0 issues every page at `now`; the three pages live on
+        // distinct dies -> one read latency total.
+        let (out, comps) = submit(&mut dev, &addrs, now, 0);
+        assert_eq!(comps.len(), 3);
+        assert!(
+            comps.iter().all(|c| c.done == now + Nanos::from_micros(70)),
+            "scattered reads should overlap: {comps:?}"
         );
-        // The into-buffer variant reads the same bytes (it queues behind
-        // the first round on the same dies, so only contents must match).
-        let mut flat = vec![0u8; 512 * 3];
-        dev.read_scattered_into(&addrs, &mut flat, Nanos::from_millis(1))
-            .unwrap();
-        for (i, buf) in bufs.iter().enumerate() {
-            assert_eq!(&flat[i * 512..(i + 1) * 512], &buf[..]);
+        for (i, &addr) in addrs.iter().enumerate() {
+            let (page, _) = read(&mut dev, addr, 1, now).unwrap();
+            assert_eq!(&out[i * 512..(i + 1) * 512], &page[..]);
         }
+        assert_eq!(dev.stats().async_reads, 0, "depth 0 is the default path");
     }
 
     #[test]
     fn async_batch_at_full_depth_matches_parallel_scattered() {
         // qd >= batch len: every page issues at `now`, exactly like the
-        // synchronous parallel-max path — same contents, same modeled
+        // unthrottled depth-0 default — same contents, same modeled
         // times, same op counts.
         let geom = Geometry::new(512, 4, 2, 4);
-        let mut sync_dev = SimFlash::with_latency(geom, LatencyModel::default());
-        let mut async_dev = SimFlash::with_latency(geom, LatencyModel::default());
-        for dev in [&mut sync_dev, &mut async_dev] {
+        let mut unthrottled = SimFlash::with_latency(geom, LatencyModel::default());
+        let mut deep = SimFlash::with_latency(geom, LatencyModel::default());
+        for dev in [&mut unthrottled, &mut deep] {
             dev.append(ZoneId(0), &vec![3u8; 512 * 4], Nanos::ZERO)
                 .unwrap();
         }
@@ -1030,27 +1005,16 @@ mod tests {
             PageAddr::new(0, 2),
         ];
         let now = Nanos::from_millis(1);
-        let mut sync_out = vec![0u8; 512 * 3];
-        let sync_done = sync_dev
-            .read_scattered_into(&addrs, &mut sync_out, now)
-            .unwrap();
-
-        let mut batch = ReadBatch::new();
-        let mut async_out = vec![0u8; 512 * 3];
-        async_dev
-            .submit_read_batch(&mut batch, &addrs, &mut async_out, now, 16)
-            .unwrap();
-        let mut comps = Vec::new();
-        while !async_dev.poll_completions(&mut batch, &mut comps).unwrap() {}
-        assert_eq!(comps.len(), 3);
-        assert_eq!(async_out, sync_out);
-        let max_done = comps.iter().map(|c| c.done).max().unwrap();
-        assert_eq!(max_done, sync_done, "full depth reproduces parallel max");
-        let (s, a) = (sync_dev.stats(), async_dev.stats());
-        assert_eq!((s.pages_read, s.read_ops), (a.pages_read, a.read_ops));
-        assert_eq!(a.async_reads, 3);
-        assert_eq!(a.inflight_hwm, 3, "hwm clamps to batch length");
-        assert!(a.submit_lat_total >= Nanos::from_micros(210));
+        let (u_out, u_comps) = submit(&mut unthrottled, &addrs, now, 0);
+        let (d_out, d_comps) = submit(&mut deep, &addrs, now, 16);
+        assert_eq!(d_comps.len(), 3);
+        assert_eq!(d_out, u_out);
+        assert_eq!(d_comps, u_comps, "full depth reproduces depth 0");
+        let (u, d) = (unthrottled.stats(), deep.stats());
+        assert_eq!((u.pages_read, u.read_ops), (d.pages_read, d.read_ops));
+        assert_eq!(d.async_reads, 3);
+        assert_eq!(d.inflight_hwm, 3, "hwm clamps to batch length");
+        assert!(d.submit_lat_total >= Nanos::from_micros(210));
     }
 
     #[test]
@@ -1110,32 +1074,42 @@ mod tests {
 
     #[test]
     fn async_submit_error_semantics_match_sync_path() {
-        // Index 1 is beyond the write pointer: both paths read (and
-        // count) page 0, then fail with the same error kind.
-        let mut sync_dev = small();
+        // Index 1 is beyond the write pointer: a page-by-page loop and
+        // the submitted batch both read (and count) page 0, then fail
+        // with the same error kind.
+        let mut loop_dev = small();
         let mut async_dev = small();
-        for dev in [&mut sync_dev, &mut async_dev] {
+        for dev in [&mut loop_dev, &mut async_dev] {
             dev.append(ZoneId(0), &vec![2u8; 512], Nanos::ZERO).unwrap();
         }
         let addrs = [PageAddr::new(0, 0), PageAddr::new(0, 3)];
         let mut out = vec![0u8; 512 * 2];
-        let sync_err = sync_dev
-            .read_scattered_into(&addrs, &mut out, Nanos::ZERO)
+        let loop_err = addrs
+            .iter()
+            .zip(out.chunks_exact_mut(512))
+            .try_for_each(|(&addr, page)| {
+                loop_dev
+                    .read_pages_into(addr, 1, page, Nanos::ZERO)
+                    .map(drop)
+            })
             .unwrap_err();
         let mut batch = ReadBatch::new();
-        let async_err = async_dev
-            .submit_read_batch(&mut batch, &addrs, &mut out, Nanos::ZERO, 4)
-            .unwrap_err();
+        for depth in [0, 4] {
+            let async_err = async_dev
+                .submit_read_batch(&mut batch, &addrs, &mut out, Nanos::ZERO, depth)
+                .unwrap_err();
+            assert_eq!(async_err, loop_err, "depth {depth}");
+        }
         assert!(matches!(
-            sync_err,
+            loop_err,
             FlashError::ReadBeyondWritePointer { .. }
         ));
-        assert!(matches!(
-            async_err,
-            FlashError::ReadBeyondWritePointer { .. }
-        ));
-        let (s, a) = (sync_dev.stats(), async_dev.stats());
-        assert_eq!((s.pages_read, s.read_ops), (a.pages_read, a.read_ops));
+        let (l, a) = (loop_dev.stats(), async_dev.stats());
+        assert_eq!(
+            (l.pages_read * 2, l.read_ops * 2),
+            (a.pages_read, a.read_ops),
+            "each submission read and counted the valid prefix once"
+        );
         // Wrong-sized buffers are rejected before any I/O.
         let mut short = vec![0u8; 100];
         assert!(matches!(
@@ -1153,7 +1127,7 @@ mod tests {
         let mut dev = SimFlash::file_backed(geom, LatencyModel::zero(), &path).unwrap();
         let data: Vec<u8> = (0..512u32).map(|i| (i * 7 % 256) as u8).collect();
         let (addr, _) = dev.append(ZoneId(1), &data, Nanos::ZERO).unwrap();
-        let (back, _) = dev.read_pages(addr, 1, Nanos::ZERO).unwrap();
+        let (back, _) = read(&mut dev, addr, 1, Nanos::ZERO).unwrap();
         assert_eq!(back, data);
         drop(dev);
         std::fs::remove_file(&path).ok();
@@ -1183,7 +1157,7 @@ mod tests {
         assert_eq!(dev.write_pointer(ZoneId(0)), 1);
         assert_eq!(dev.zone_state(ZoneId(1)), ZoneState::Full, "filled");
         assert_eq!(dev.reset_count(ZoneId(2)), 1);
-        let (back, _) = dev.read_pages(PageAddr::new(0, 0), 1, Nanos::ZERO).unwrap();
+        let (back, _) = read(&mut dev, PageAddr::new(0, 0), 1, Nanos::ZERO).unwrap();
         assert_eq!(back, data, "page data survives reopen");
         // ZNS semantics persist too: the finished zone rejects appends.
         assert!(dev.append(ZoneId(0), &vec![1u8; 512], Nanos::ZERO).is_err());
@@ -1281,7 +1255,7 @@ mod tests {
         assert_eq!(dev.generation(), 0);
         dev.append(ZoneId(0), &vec![1u8; 512], Nanos::ZERO).unwrap();
         assert_eq!(dev.generation(), 1);
-        dev.read_pages(PageAddr::new(0, 0), 1, Nanos::ZERO).unwrap();
+        read(&mut dev, PageAddr::new(0, 0), 1, Nanos::ZERO).unwrap();
         assert_eq!(dev.generation(), 1, "reads do not advance it");
         dev.finish_zone(ZoneId(0)).unwrap();
         dev.reset_zone(ZoneId(0), Nanos::ZERO).unwrap();
@@ -1295,9 +1269,7 @@ mod tests {
             .append(ZoneId(99), &vec![0u8; 512], Nanos::ZERO)
             .is_err());
         assert!(dev.reset_zone(ZoneId(99), Nanos::ZERO).is_err());
-        assert!(dev
-            .read_pages(PageAddr::new(99, 0), 1, Nanos::ZERO)
-            .is_err());
+        assert!(read(&mut dev, PageAddr::new(99, 0), 1, Nanos::ZERO).is_err());
         assert!(dev.finish_zone(ZoneId(99)).is_err());
     }
 }

@@ -62,6 +62,13 @@ fn error_kind(e: &FlashError) -> &'static str {
     }
 }
 
+/// Reads the single page at `addr` into a fresh buffer.
+fn read_page<D: ZonedFlash + ?Sized>(dev: &mut D, addr: PageAddr) -> Result<Vec<u8>, FlashError> {
+    let mut page = vec![0u8; PAGE];
+    dev.read_pages_into(addr, 1, &mut page, Nanos::ZERO)?;
+    Ok(page)
+}
+
 fn apply<D: ZonedFlash>(dev: &mut D, op: Op) -> Outcome {
     match op {
         Op::Append { zone, fill, pages } => {
@@ -71,12 +78,10 @@ fn apply<D: ZonedFlash>(dev: &mut D, op: Op) -> Outcome {
                 Err(e) => Outcome::Failed(error_kind(&e)),
             }
         }
-        Op::Read { zone, page } => {
-            match dev.read_pages(PageAddr::new(zone, page), 1, Nanos::ZERO) {
-                Ok((bytes, _)) => Outcome::ReadBytes(bytes),
-                Err(e) => Outcome::Failed(error_kind(&e)),
-            }
-        }
+        Op::Read { zone, page } => match read_page(dev, PageAddr::new(zone, page)) {
+            Ok(bytes) => Outcome::ReadBytes(bytes),
+            Err(e) => Outcome::Failed(error_kind(&e)),
+        },
         Op::Reset { zone } => match dev.reset_zone(ZoneId(zone), Nanos::ZERO) {
             Ok(_) => Outcome::Done,
             Err(e) => Outcome::Failed(error_kind(&e)),
@@ -140,9 +145,9 @@ proptest! {
         for z in 0..ZONES {
             for p in 0..mem.write_pointer(ZoneId(z)) {
                 let addr = PageAddr::new(z, p);
-                let (da, _) = mem.read_pages(addr, 1, Nanos::ZERO).expect("mem read");
-                let (db, _) = file.read_pages(addr, 1, Nanos::ZERO).expect("file read");
-                let (dc, _) = real.read_pages(addr, 1, Nanos::ZERO).expect("real read");
+                let da = read_page(&mut mem, addr).expect("mem read");
+                let db = read_page(&mut file, addr).expect("file read");
+                let dc = read_page(&mut real, addr).expect("real read");
                 prop_assert_eq!(&da, &db, "file contents diverged at {}", addr);
                 prop_assert_eq!(&da, &dc, "real contents diverged at {}", addr);
             }
@@ -173,11 +178,13 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// The submit/poll contract: on every backend, the asynchronous read
-    /// path must be op-for-op identical to the synchronous
-    /// `read_scattered_into` — same outcomes (including the error kind on
-    /// invalid addresses), same bytes delivered, same `DeviceStats` op
-    /// counts. Only time and the async-only counters may differ.
+    /// The submit/poll contract: on every backend and at every queue
+    /// depth (0, the unthrottled default, included), a submitted batch
+    /// must be op-for-op identical to reading its pages one
+    /// `read_pages_into` call at a time, stopping at the first error —
+    /// same outcomes (including the error kind on invalid addresses),
+    /// same bytes delivered, same `DeviceStats` op counts. Only time and
+    /// the async-only counters may differ.
     #[test]
     fn async_submit_poll_matches_sync_scattered(
         appends in prop::collection::vec((0u32..ZONES, 0u8..=255, 1u32..4), 4..16),
@@ -185,14 +192,15 @@ proptest! {
             prop::collection::vec((0u32..ZONES + 1, 0u32..PAGES_PER_ZONE + 1), 0..7),
             1..12
         ),
-        queue_depth in 1usize..=16,
+        queue_depth in 0usize..=16,
         case_id in 0u64..u64::MAX
     ) {
         let geom = Geometry::new(PAGE as u32, PAGES_PER_ZONE, ZONES, 2);
         let sim_file = tmp(format!("async-sim-{case_id}.img"));
         let real_sync = tmp(format!("async-real-s-{case_id}.img"));
         let real_async = tmp(format!("async-real-a-{case_id}.img"));
-        // Per backend one sync and one async twin, identically populated.
+        // Per backend one page-by-page reference twin and one async twin,
+        // identically populated.
         type Twins = (&'static str, Box<dyn ZonedFlash>, Box<dyn ZonedFlash>);
         let mut devices: Vec<Twins> = vec![
             (
@@ -250,7 +258,12 @@ proptest! {
                     raw.iter().map(|&(z, p)| PageAddr::new(z, p)).collect();
                 let mut sync_out = vec![0u8; addrs.len() * PAGE];
                 let mut async_out = vec![0xAAu8; addrs.len() * PAGE];
-                let sync_res = sync_dev.read_scattered_into(&addrs, &mut sync_out, Nanos::ZERO);
+                let sync_res = addrs
+                    .iter()
+                    .zip(sync_out.chunks_exact_mut(PAGE))
+                    .try_for_each(|(&addr, page)| {
+                        sync_dev.read_pages_into(addr, 1, page, Nanos::ZERO).map(drop)
+                    });
                 let async_res = async_dev.submit_read_batch(
                     &mut batch,
                     &addrs,
@@ -259,7 +272,7 @@ proptest! {
                     queue_depth,
                 );
                 match (sync_res, async_res) {
-                    (Ok(_), Ok(())) => {
+                    (Ok(()), Ok(())) => {
                         completions.clear();
                         while !async_dev
                             .poll_completions(&mut batch, &mut completions)
@@ -298,13 +311,13 @@ proptest! {
                     }
                 }
             }
-            // The async twin did exactly the sync twin's device work.
+            // The async twin did exactly the reference twin's device work.
             let (ss, aa) = (sync_dev.stats(), async_dev.stats());
             let counts = |s: &nemo_flash::DeviceStats| {
                 (s.pages_read, s.bytes_read, s.read_ops, s.pages_written, s.append_ops)
             };
             prop_assert_eq!(counts(&ss), counts(&aa), "{}: op counts diverged", name);
-            prop_assert_eq!(ss.async_reads, 0, "{}: sync twin took the async path", name);
+            prop_assert_eq!(ss.async_reads, 0, "{}: reference twin took the async path", name);
             signatures.push(sigs);
         }
 
@@ -343,7 +356,7 @@ fn persistent_backends_survive_reopen_and_continue() {
     let mut real = RealFlash::open(geom, &real_path, RealFlashOptions::default()).unwrap();
     for dev in [&mut sim as &mut dyn ZonedFlash, &mut real] {
         assert_eq!(dev.geometry(), geom);
-        let (back, _) = dev.read_pages(PageAddr::new(0, 0), 1, Nanos::ZERO).unwrap();
+        let back = read_page(dev, PageAddr::new(0, 0)).unwrap();
         assert_eq!(back, payload, "payload must survive reopen");
         assert_eq!(dev.write_pointer(ZoneId(1)), 4, "write pointer restored");
         // The finished zone still rejects appends; zone 2 still works.

@@ -81,8 +81,9 @@ proptest! {
             let (addr, _) = dev.append(ZoneId(0), p, Nanos::ZERO).expect("append");
             addrs.push(addr);
         }
+        let mut back = vec![0u8; 512];
         for (addr, p) in addrs.iter().zip(&pages) {
-            let (back, _) = dev.read_pages(*addr, 1, Nanos::ZERO).expect("read");
+            dev.read_pages_into(*addr, 1, &mut back, Nanos::ZERO).expect("read");
             prop_assert_eq!(&back, p);
         }
         prop_assert_eq!(dev.stats().pages_written, pages.len() as u64);

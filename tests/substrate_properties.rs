@@ -106,8 +106,11 @@ fn file_backed_device_matches_memory_device() {
         assert_eq!(a.is_ok(), b.is_ok(), "append parity at op {i}");
         if let (Ok((addr_a, _)), Ok((addr_b, _))) = (a, b) {
             assert_eq!(addr_a, addr_b);
-            let (da, _) = mem.read_pages(addr_a, 1, Nanos::ZERO).expect("mem read");
-            let (db, _) = file.read_pages(addr_b, 1, Nanos::ZERO).expect("file read");
+            let (mut da, mut db) = (vec![0u8; 512], vec![0u8; 512]);
+            mem.read_pages_into(addr_a, 1, &mut da, Nanos::ZERO)
+                .expect("mem read");
+            file.read_pages_into(addr_b, 1, &mut db, Nanos::ZERO)
+                .expect("file read");
             assert_eq!(da, db, "data parity at {addr_a}");
         }
     }
